@@ -5,9 +5,13 @@
 
 use ptdg_core::data::SharedVec;
 use ptdg_simcore::SplitRng;
+use std::sync::Arc;
 
 /// The lower-triangular tiles of an SPD matrix, plus a pristine copy used
 /// to re-initialize between repeated factorizations.
+///
+/// Cloning is O(1): both tile lists are shared, so every task body can
+/// hold its own handle on the matrix.
 #[derive(Clone)]
 pub struct TileMatrix {
     /// Tiles per edge.
@@ -16,9 +20,9 @@ pub struct TileMatrix {
     pub b: usize,
     /// Working tiles, row-major within each `b×b` tile; indexed by
     /// [`TileMatrix::t`] for `i ≥ j`.
-    pub tiles: Vec<SharedVec<f64>>,
+    pub tiles: Arc<[SharedVec<f64>]>,
     /// The original matrix content (for resets and verification).
-    pub original: Vec<Vec<f64>>,
+    pub original: Arc<[Vec<f64>]>,
 }
 
 impl TileMatrix {
@@ -64,8 +68,8 @@ impl TileMatrix {
         TileMatrix {
             nt,
             b,
-            tiles,
-            original,
+            tiles: tiles.into(),
+            original: original.into(),
         }
     }
 
@@ -196,7 +200,7 @@ impl TileMatrix {
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
         let b2 = self.b * self.b;
-        for t in &self.tiles {
+        for t in self.tiles.iter() {
             for &v in t.slice(0..b2) {
                 h ^= v.to_bits();
                 h = h.wrapping_mul(0x100000001b3);
@@ -240,6 +244,16 @@ mod tests {
         }
         m.factor_sequential();
         assert_eq!(m.digest(), d1);
+    }
+
+    #[test]
+    fn clone_shares_tiles_and_original() {
+        let m = TileMatrix::new_spd(3, 4, 5);
+        let c = m.clone();
+        assert!(Arc::ptr_eq(&m.tiles, &c.tiles));
+        assert!(Arc::ptr_eq(&m.original, &c.original));
+        c.factor_sequential();
+        assert_eq!(m.digest(), c.digest(), "a clone writes the same tiles");
     }
 
     #[test]

@@ -27,9 +27,12 @@ struct HandleState {
     /// Whether the group can still accept members (no other-mode access has
     /// been seen on this region since the group opened).
     group_open: bool,
-    /// Redirect node materialized for this group by optimization (c).
+    /// Redirect node materialized for this group's successors by
+    /// optimization (c).
     redirect: Option<TaskId>,
-    /// Predecessors each *new member* of the open group must depend on.
+    /// Predecessors each *new member* of the open group must depend on:
+    /// the tasks the group opened after, or the single redirect node
+    /// optimization (c) funneled them into when the second member joined.
     group_base: InlineVec<TaskId, WRITERS_INLINE>,
     /// Readers since the last write.
     readers: InlineVec<TaskId, READERS_INLINE>,
@@ -156,6 +159,19 @@ impl DiscoveryEngine {
         }
     }
 
+    /// Materialize a sealed optimization-(c) redirect node R with edges
+    /// `preds -> R`; successors then attach to R alone.
+    fn funnel(&mut self, sink: &mut dyn GraphSink, preds: &[TaskId]) -> TaskId {
+        let r = sink.add_redirect();
+        self.stats.redirect_nodes += 1;
+        self.note_node(r);
+        for &p in preds {
+            self.edge(sink, p, r);
+        }
+        sink.seal(r);
+        r
+    }
+
     /// Resolve the predecessors representing "the last write" of handle
     /// `hidx`, materializing the optimization-(c) redirect node when
     /// profitable. The result is left in `self.scratch_preds`.
@@ -177,14 +193,8 @@ impl DiscoveryEngine {
             let mut members = std::mem::take(&mut self.scratch_members);
             members.clear();
             members.extend_from_slice(&st.last_writers);
-            let r = sink.add_redirect();
-            self.stats.redirect_nodes += 1;
-            self.note_node(r);
-            for &m in &members {
-                self.edge(sink, m, r);
-            }
+            let r = self.funnel(sink, &members);
             self.scratch_members = members;
-            sink.seal(r);
             self.handles[hidx].redirect = Some(r);
             self.scratch_preds.push(r);
         } else {
@@ -257,7 +267,16 @@ impl DiscoveryEngine {
                     if joinable {
                         // Join the open group: same base predecessors, no
                         // ordering against fellow members.
-                        let base = std::mem::take(&mut self.handles[hidx].group_base);
+                        let mut base = std::mem::take(&mut self.handles[hidx].group_base);
+                        if base.len() >= 2 && self.opts.inoutset_redirect {
+                            // Optimization (c), readers -> group side: the
+                            // second member funnels the n-reader base into
+                            // one redirect node, so it and every later
+                            // member need one edge instead of n.
+                            let r = self.funnel(sink, &base);
+                            base.clear();
+                            base.push(r);
+                        }
                         for p in &base {
                             self.edge(sink, *p, id);
                         }
@@ -462,6 +481,182 @@ mod tests {
         assert_eq!(edges_c, m + n);
         assert_eq!(r_c, 1);
         assert_eq!(stats_c.redirect_nodes, 1);
+    }
+
+    /// The WAR side of Fig. 4: `n` readers of one region, then `m`
+    /// `inoutset` members of it. Returns the sink, the stats, and the
+    /// reader and member ids.
+    fn war_join(
+        opts: OptConfig,
+        n: usize,
+        m: usize,
+    ) -> (MemSink, DiscoveryStats, Vec<u32>, Vec<u32>) {
+        let mut s = HandleSpace::new();
+        let x = s.region("x", 64);
+        let mut eng = DiscoveryEngine::new(opts);
+        let mut sink = MemSink::default();
+        let readers = (0..n)
+            .map(|_| {
+                eng.submit(&mut sink, &TaskSpec::new("r").depend(x, AccessMode::In))
+                    .0
+            })
+            .collect();
+        let members = (0..m)
+            .map(|_| {
+                eng.submit(
+                    &mut sink,
+                    &TaskSpec::new("X").depend(x, AccessMode::InOutSet),
+                )
+                .0
+            })
+            .collect();
+        (sink, eng.stats(), readers, members)
+    }
+
+    /// Whether `to` is reachable from `from` along the sink's edges.
+    fn reaches(sink: &MemSink, from: u32, to: u32) -> bool {
+        let mut stack = vec![from];
+        let mut seen = HashSet::new();
+        while let Some(u) = stack.pop() {
+            if u == to {
+                return true;
+            }
+            if seen.insert(u) {
+                stack.extend(sink.edges.iter().filter(|e| e.0 == u).map(|e| e.1));
+            }
+        }
+        false
+    }
+
+    /// n readers then m members: n·m edges without (c); with (c) the
+    /// first member takes the n reader edges, the second funnels the
+    /// readers into R (n edges) and every member after the first needs
+    /// one edge from R — 2n+m−1 in all.
+    #[test]
+    fn opt_c_redirect_reduces_war_join_to_2n_plus_m_minus_1() {
+        for (n, m) in [(2, 2), (5, 7), (7, 5), (16, 16)] {
+            let (plain, st_plain, ..) = war_join(OptConfig::none(), n, m);
+            assert_eq!(plain.edges.len(), n * m, "n={n} m={m}");
+            assert_eq!(st_plain.redirect_nodes, 0);
+            let (c, st_c, ..) = war_join(OptConfig::redirect_only(), n, m);
+            assert_eq!(c.edges.len(), 2 * n + m - 1, "n={n} m={m}");
+            assert_eq!(c.redirects.len(), 1);
+            assert_eq!(st_c.redirect_nodes, 1);
+        }
+    }
+
+    #[test]
+    fn war_join_needs_no_redirect_for_one_member_or_one_reader() {
+        // m = 1: the lone member takes the reader edges directly.
+        let (sink, st, ..) = war_join(OptConfig::all(), 6, 1);
+        assert_eq!((sink.edges.len(), st.redirect_nodes), (6, 0));
+        // One-predecessor base: each member needs one edge anyway.
+        let (sink, st, ..) = war_join(OptConfig::all(), 1, 6);
+        assert_eq!((sink.edges.len(), st.redirect_nodes), (6, 0));
+    }
+
+    #[test]
+    fn war_redirect_orders_every_member_after_every_reader() {
+        for opts in [OptConfig::none(), OptConfig::all()] {
+            let (sink, _, readers, members) = war_join(opts, 5, 4);
+            for &r in &readers {
+                for &x in &members {
+                    assert!(reaches(&sink, r, x), "{opts:?}: reader {r} !-> member {x}");
+                }
+            }
+            for &a in &members {
+                for &b in &members {
+                    assert!(a == b || !reaches(&sink, a, b), "members stay unordered");
+                }
+            }
+        }
+    }
+
+    /// Writer, n readers, m members, k readers: with (c) one redirect on
+    /// each side of the group, and every dependence of the plain graph
+    /// survives.
+    #[test]
+    fn opt_c_applies_on_both_sides_of_a_group() {
+        let (n, m, k) = (4usize, 3usize, 5usize);
+        let run = |opts: OptConfig| {
+            let mut s = HandleSpace::new();
+            let x = s.region("x", 64);
+            let mut eng = DiscoveryEngine::new(opts);
+            let mut sink = MemSink::default();
+            let modes = std::iter::once(AccessMode::Out)
+                .chain(std::iter::repeat_n(AccessMode::In, n))
+                .chain(std::iter::repeat_n(AccessMode::InOutSet, m))
+                .chain(std::iter::repeat_n(AccessMode::In, k));
+            let ids: Vec<u32> = modes
+                .map(|mode| eng.submit(&mut sink, &TaskSpec::new("t").depend(x, mode)).0)
+                .collect();
+            (sink, eng.stats(), ids)
+        };
+        let (plain, _, _) = run(OptConfig::none());
+        let (c, st, ids) = run(OptConfig::all());
+        assert_eq!(plain.edges.len(), n + n * m + m * k);
+        // w -> readers, readers -> first member and -> R1, R1 -> other
+        // members, members -> R2, R2 -> trailing readers.
+        assert_eq!(c.edges.len(), n + (2 * n + m - 1) + (m + k));
+        assert_eq!(st.redirect_nodes, 2);
+        // The plain graph has no redirects, so its node ids are submission
+        // indices: every plain dependence must be implied by (c)'s graph.
+        for &(p, q) in &plain.edges {
+            assert!(
+                reaches(&c, ids[p as usize], ids[q as usize]),
+                "lost {p} -> {q}"
+            );
+        }
+    }
+
+    /// The WAR redirect is captured into the persistent template like any
+    /// other node, and every replayed iteration keeps its ordering.
+    #[test]
+    fn war_redirect_is_captured_and_replays_in_order() {
+        use crate::exec::{ExecConfig, Executor};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        const N: usize = 6;
+        const M: usize = 5;
+        const ITERS: u64 = 8;
+
+        let mut s = HandleSpace::new();
+        let x = s.region("x", 64);
+        let exec = Executor::new(ExecConfig {
+            n_workers: 2,
+            ..Default::default()
+        });
+        let reads = Arc::new(AtomicU64::new(0));
+        // Members that started before all of their iteration's readers.
+        let early = Arc::new(AtomicU64::new(0));
+        let mut region = exec.persistent_region(OptConfig::all());
+        for iter in 0..ITERS {
+            region.run(iter, |sub| {
+                for _ in 0..N {
+                    let reads = reads.clone();
+                    sub.submit(TaskSpec::new("r").depend(x, AccessMode::In).body(move |_| {
+                        reads.fetch_add(1, Ordering::SeqCst);
+                    }));
+                }
+                for _ in 0..M {
+                    let (reads, early) = (reads.clone(), early.clone());
+                    sub.submit(TaskSpec::new("X").depend(x, AccessMode::InOutSet).body(
+                        move |ctx| {
+                            if reads.load(Ordering::SeqCst) < (ctx.iter + 1) * N as u64 {
+                                early.fetch_add(1, Ordering::SeqCst);
+                            }
+                        },
+                    ));
+                }
+            });
+        }
+        let t = region.template().expect("captured");
+        assert_eq!(t.n_nodes() - t.n_tasks(), 1, "one redirect captured");
+        assert_eq!(t.n_edges(), (2 * N + M - 1) as u64);
+        assert_eq!(region.first_iteration_stats().redirect_nodes, 1);
+        assert_eq!(region.reuses(), ITERS - 1);
+        assert_eq!(reads.load(Ordering::SeqCst), ITERS * N as u64);
+        assert_eq!(early.load(Ordering::SeqCst), 0);
     }
 
     #[test]
