@@ -51,6 +51,29 @@ fn bench_hierarchy(c: &mut Criterion) {
             black_box(h.touch_footprint(core, &footprint))
         })
     });
+    // The distributed-LULESH shape: one 16-core EPYC NUMA domain, tasks
+    // of 75 blocks over 5 arrays dealt round-robin to the cores. A core
+    // never repeats its last task's blocks, so every probe misses L1, and
+    // it cycles through 1,875 blocks, more than its L2 holds; the
+    // 30,000-block working set stays L3-resident.
+    const ARRAY_BLOCKS: u64 = 6_000;
+    const SLICE: u32 = 15;
+    let tasks: Vec<[BlockRange; 5]> = (0..ARRAY_BLOCKS / SLICE as u64)
+        .map(|k| {
+            std::array::from_fn(|a| {
+                BlockRange::new(a as u64 * ARRAY_BLOCKS + k * SLICE as u64, SLICE)
+            })
+        })
+        .collect();
+    group.throughput(Throughput::Elements(5 * SLICE as u64));
+    group.bench_function("epyc16_l3_resident_75_blocks", |b| {
+        let mut h = MemoryHierarchy::new(MemConfig::epyc_numa_domain(), 16);
+        let mut k = 0usize;
+        b.iter(|| {
+            k = (k + 1) % tasks.len();
+            black_box(h.touch_footprint(k % 16, &tasks[k]))
+        })
+    });
     group.finish();
 }
 

@@ -174,18 +174,26 @@ fn main() {
         profile: args.trace.is_some(),
         record_events: false,
     });
-    let (graph, stats) = if args.persistent {
+    // The wall-clock stops when the last iteration has completed, before
+    // the trace export and the sequential verification run.
+    let (graph, stats, reuses, wall) = if args.persistent {
         let mut region = exec.persistent_region(OptConfig::all());
         for iter in 0..cfg.iterations {
             region.run(iter, |sub| prog.build_iteration(0, iter, sub));
         }
+        let wall = t0.elapsed();
         let t = region.template().unwrap();
         println!(
             "persistent TDG: {} tasks, {} edges per iteration",
             t.n_tasks(),
             t.n_edges()
         );
-        (Some((**t).clone()), region.first_iteration_stats())
+        (
+            Some((**t).clone()),
+            region.first_iteration_stats(),
+            region.reuses(),
+            wall,
+        )
     } else if args.trace.is_some() {
         // capture the full streamed graph so the critical-path report can
         // walk it
@@ -194,16 +202,18 @@ fn main() {
             prog.build_iteration(0, iter, &mut session);
         }
         let (g, stats) = session.finish_capture();
+        let wall = t0.elapsed();
         println!("streaming discovery: {stats:?}");
-        (Some(g), stats)
+        (Some(g), stats, 0, wall)
     } else {
         let mut session = exec.session(OptConfig::all());
         for iter in 0..cfg.iterations {
             prog.build_iteration(0, iter, &mut session);
         }
         session.wait_all();
+        let wall = t0.elapsed();
         println!("streaming discovery: {:?}", session.stats());
-        (None, session.stats())
+        (None, session.stats(), 0, wall)
     };
     if let Some(path) = &args.trace {
         let mut obs = exec.take_obs();
@@ -212,6 +222,7 @@ fn main() {
         let created = obs.counters.tasks_created;
         obs.counters.absorb_discovery(&stats);
         obs.counters.tasks_created = created;
+        obs.counters.persistent_reuses = reuses;
         let doc = chrome_trace(&obs.trace, &obs.events, &obs.counters);
         if let Err(e) = std::fs::write(path, doc.render() + "\n") {
             eprintln!("failed to write {}: {e}", path.display());
@@ -238,7 +249,7 @@ fn main() {
         args.workers,
         st.total_energy(),
         *st.dt.get(0),
-        t0.elapsed().as_secs_f64(),
+        wall.as_secs_f64(),
         if st.digest() == reference.digest() {
             "verified vs sequential"
         } else {

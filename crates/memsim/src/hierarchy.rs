@@ -74,6 +74,9 @@ pub struct MemoryHierarchy {
     l2: Vec<LruCache>,
     l3: LruCache,
     totals: AccessStats,
+    /// `touch_footprint`'s L1 misses in probe order, each with whether it
+    /// also missed L2; kept so footprints allocate nothing.
+    l1_miss_buf: Vec<(BlockId, bool)>,
 }
 
 impl MemoryHierarchy {
@@ -92,6 +95,7 @@ impl MemoryHierarchy {
             l2,
             l3,
             totals: AccessStats::default(),
+            l1_miss_buf: Vec::new(),
         }
     }
 
@@ -131,13 +135,40 @@ impl MemoryHierarchy {
     }
 
     /// Probe a whole task footprint from `core`.
+    ///
+    /// Equivalent to [`MemoryHierarchy::touch`] on every block in order,
+    /// but probed one level at a time: L1 over the footprint, then L2 over
+    /// the L1 misses, then L3 over the same misses. Each cache sees exactly
+    /// the sequence it would see block by block, because L2 and L3 are
+    /// reached only through an L1 miss and then both are touched. An L3
+    /// miss counts only when L2 missed too: on an L2 hit, L3 is touched
+    /// for recency alone.
     pub fn touch_footprint(&mut self, core: usize, footprint: &[BlockRange]) -> AccessStats {
+        let mut misses = std::mem::take(&mut self.l1_miss_buf);
+        misses.clear();
         let mut s = AccessStats::default();
+        let l1 = &mut self.l1[core];
         for range in footprint {
+            s.accesses += range.count as u64;
             for block in range.iter() {
-                s.merge(self.touch(core, block));
+                if !l1.access(block) {
+                    misses.push((block, false));
+                }
             }
         }
+        let l2 = &mut self.l2[core];
+        for (block, l2_missed) in misses.iter_mut() {
+            *l2_missed = !l2.access(*block);
+            s.l2_misses += *l2_missed as u64;
+        }
+        for &(block, l2_missed) in &misses {
+            if !self.l3.access(block) && l2_missed {
+                s.l3_misses += 1;
+            }
+        }
+        s.l1_misses = misses.len() as u64;
+        self.l1_miss_buf = misses;
+        self.totals.merge(s);
         s
     }
 
@@ -162,6 +193,7 @@ impl MemoryHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> MemoryHierarchy {
         // 2 cores; L1 = 2 blocks, L2 = 8 blocks, L3 = 32 blocks.
@@ -276,5 +308,83 @@ mod tests {
         assert_eq!(h.totals(), AccessStats::default());
         let s = h.touch(0, 7);
         assert_eq!(s.l3_misses, 1);
+    }
+
+    /// Per-block [`MemoryHierarchy::touch`] over a footprint: the reference
+    /// `touch_footprint` must match.
+    fn touch_each(h: &mut MemoryHierarchy, core: usize, footprint: &[BlockRange]) -> AccessStats {
+        let mut s = AccessStats::default();
+        for range in footprint {
+            for block in range.iter() {
+                s.merge(h.touch(core, block));
+            }
+        }
+        s
+    }
+
+    /// L1 = 4, L2 = 16 and L3 = 24 blocks: the shared L3 is smaller than
+    /// two cores' L2s together, so a block can hit L2 and miss L3.
+    fn l3_smaller_than_l2s() -> MemConfig {
+        MemConfig {
+            block_bytes: 512,
+            l1_bytes: 4 * 512,
+            l2_bytes: 16 * 512,
+            l3_bytes: 24 * 512,
+            ..MemConfig::default()
+        }
+    }
+
+    #[test]
+    fn l2_hit_after_l3_eviction_is_no_dram_miss() {
+        let cfg = MemConfig {
+            block_bytes: 512,
+            l1_bytes: 512,
+            l2_bytes: 4 * 512,
+            l3_bytes: 4 * 512,
+            ..MemConfig::default()
+        };
+        let mut fast = MemoryHierarchy::new(cfg.clone(), 2);
+        let mut slow = MemoryHierarchy::new(cfg, 2);
+        // Core 0's L2 and the L3 take blocks 0..4; core 1 then evicts
+        // them from the L3 only.
+        for (core, range) in [(0, BlockRange::new(0, 4)), (1, BlockRange::new(100, 4))] {
+            assert_eq!(
+                fast.touch_footprint(core, &[range]),
+                touch_each(&mut slow, core, &[range])
+            );
+        }
+        assert!(fast.l2[0].contains(0) && !fast.l3.contains(0));
+        let fp = [BlockRange::new(0, 1)];
+        let s = fast.touch_footprint(0, &fp);
+        assert_eq!(s, touch_each(&mut slow, 0, &fp));
+        assert_eq!((s.l1_misses, s.l2_misses, s.l3_misses), (1, 0, 0));
+        assert!(fast.l3.contains(0), "an L2 hit still refreshes the L3");
+        assert_eq!(fast.totals(), slow.totals());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `touch_footprint`'s level-by-level probe equals a block-by-block
+        /// `touch`, per call and in total, over overlapping multi-range
+        /// footprints with repeated blocks on several cores.
+        #[test]
+        fn footprint_matches_per_block_touch(
+            n_cores in 2usize..=4,
+            calls in prop::collection::vec(
+                (0usize..4, prop::collection::vec((0u64..96, 0u32..12), 1..=6)),
+                1..=40,
+            ),
+        ) {
+            let mut fast = MemoryHierarchy::new(l3_smaller_than_l2s(), n_cores);
+            let mut slow = MemoryHierarchy::new(l3_smaller_than_l2s(), n_cores);
+            for (core, ranges) in &calls {
+                let core = core % n_cores;
+                let fp: Vec<BlockRange> =
+                    ranges.iter().map(|&(first, n)| BlockRange::new(first, n)).collect();
+                prop_assert_eq!(fast.touch_footprint(core, &fp), touch_each(&mut slow, core, &fp));
+            }
+            prop_assert_eq!(fast.totals(), slow.totals());
+        }
     }
 }

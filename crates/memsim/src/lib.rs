@@ -10,10 +10,14 @@
 //!   fully-associative LRU over fixed-size *blocks* (coarse cache lines);
 //! * tasks declare a **footprint**: the set of blocks they touch; executing
 //!   a task probes each block top-down (L1 → L2 → L3 → DRAM) and installs it
-//!   in every level (inclusive hierarchy);
+//!   in every level (inclusive hierarchy). [`MemoryHierarchy::touch_footprint`]
+//!   runs the probes level by level (L1 over the footprint, then L2 and L3
+//!   over the L1 misses in order), which leaves every cache and counter
+//!   exactly as block-by-block probing would;
 //! * every miss level contributes **stall cycles**, and DRAM traffic draws
-//!   on a shared bandwidth budget — concurrent DRAM pressure inflates the
-//!   effective memory time of all running tasks ([`DramContention`]).
+//!   on a shared demand-rate pool — memory time is scaled by
+//!   `max(1, total demand / peak bandwidth)` over the concurrently running
+//!   tasks ([`DramContention`]).
 //!
 //! This is exactly enough machinery to reproduce the cache-driven effects in
 //! the paper: task refinement shrinks per-task footprints until they fit in
