@@ -3,7 +3,7 @@
 //! each with real numerics.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ptdg_cholesky::{CholeskyConfig, CholeskyTask};
+use ptdg_cholesky::{CholeskyConfig, CholeskyTask, TileMatrix};
 use ptdg_core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg_core::opts::OptConfig;
 use ptdg_core::throttle::ThrottleConfig;
@@ -83,10 +83,49 @@ fn bench_cholesky_factorization(c: &mut Criterion) {
     group.finish();
 }
 
+/// The tile kernels alone at the benchmark's tile edge, with flops per
+/// call as the throughput (so `Melem/s` reads MFLOP/s).
+fn bench_cholesky_kernels(c: &mut Criterion) {
+    let b = 64;
+    let m = TileMatrix::new_spd(3, b, 1);
+    m.factor_sequential();
+    let b3 = (b * b * b) as u64;
+    let mut group = c.benchmark_group("cholesky_kernels");
+    group.sample_size(50);
+    group.throughput(Throughput::Elements(2 * b3));
+    group.bench_function("update_b64", |bch| {
+        // gemm on factored tiles: the inputs never change and the output
+        // only drifts, so every call does the same work
+        bch.iter(|| {
+            m.k_update(2, 1, 0);
+            black_box(&m)
+        })
+    });
+    // trsm and potrf first restore their tile (a 32 KiB copy)
+    group.throughput(Throughput::Elements(b3));
+    group.bench_function("trsm_b64", |bch| {
+        bch.iter(|| {
+            m.k_reset(m.t(2, 1));
+            m.k_trsm(2, 1);
+            black_box(&m)
+        })
+    });
+    group.throughput(Throughput::Elements(b3 / 3));
+    group.bench_function("potrf_b64", |bch| {
+        bch.iter(|| {
+            m.k_reset(m.t(1, 1));
+            m.k_potrf(1);
+            black_box(&m)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lulesh_step,
     bench_hpcg_iteration,
-    bench_cholesky_factorization
+    bench_cholesky_factorization,
+    bench_cholesky_kernels
 );
 criterion_main!(benches);

@@ -140,6 +140,7 @@ fn main() {
         obs.counters
             .absorb_discovery(&region.first_iteration_stats());
         obs.counters.tasks_created = created;
+        obs.counters.persistent_reuses = region.reuses();
         let doc = chrome_trace(&obs.trace, &obs.events, &obs.counters);
         if let Err(e) = std::fs::write(path, doc.render() + "\n") {
             eprintln!("failed to write {}: {e}", path.display());

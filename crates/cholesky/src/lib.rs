@@ -15,6 +15,7 @@
 //! "iteratively decomposing matrices of same dimensions and tile size".
 
 pub mod config;
+mod kernels;
 pub mod program;
 pub mod tiles;
 
