@@ -1,14 +1,17 @@
 //! Thread-executor micro-benchmarks: end-to-end graph execution under
-//! both scheduling policies, and persistent re-instancing.
+//! both scheduling policies, persistent re-instancing, and the per-edge
+//! cost of the runtime kernel's node links.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ptdg_core::access::AccessMode;
 use ptdg_core::exec::{ExecConfig, Executor, QueueBackend, SchedPolicy};
 use ptdg_core::handle::HandleSpace;
 use ptdg_core::opts::OptConfig;
-use ptdg_core::task::TaskSpec;
+use ptdg_core::rt::{Completion, NodeArena, NodeRef, RtNode};
+use ptdg_core::task::{TaskId, TaskSpec};
 use ptdg_core::throttle::ThrottleConfig;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 const N_TASKS: usize = 1_000;
 
@@ -135,10 +138,89 @@ fn bench_persistent_region(c: &mut Criterion) {
     group.finish();
 }
 
+/// Successors per predecessor in `node_edges` (the ~23 edges per task of
+/// streaming LULESH, rounded up).
+const FANOUT: usize = 24;
+/// Predecessors built per timed batch, so setup stays off the clock and
+/// memory stays small.
+const BATCH: u64 = 256;
+
+/// `BATCH` predecessors with `FANOUT` fresh successors each.
+fn fanouts(arena: &mut NodeArena) -> Vec<(NodeRef, Vec<NodeRef>)> {
+    (0..BATCH)
+        .map(|_| {
+            let pred = arena.alloc(RtNode::redirect(TaskId(0), 0));
+            let succs = (1..=FANOUT as u32)
+                .map(|i| arena.alloc(RtNode::redirect(TaskId(i), 0)))
+                .collect();
+            (pred, succs)
+        })
+        .collect()
+}
+
+fn attach_and_seal(pred: &NodeRef, succs: &[NodeRef]) {
+    for s in succs {
+        black_box(pred.attach_succ(s));
+    }
+    for s in succs {
+        black_box(s.seal());
+    }
+}
+
+/// The runtime kernel per edge: one case times attaching `FANOUT`
+/// successors to a live predecessor and sealing them (the producer's
+/// side), the other completing the predecessor, which releases them all
+/// and hands back the ready list (the worker's side). Divide ns/iter by
+/// `FANOUT` for ns per edge.
+fn bench_node_edges(c: &mut Criterion) {
+    let mut group = c.benchmark_group("node_edges");
+    group.throughput(Throughput::Elements(FANOUT as u64));
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::new("attach_seal", FANOUT), |b| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for start in (0..iters).step_by(BATCH as usize) {
+                let mut arena = NodeArena::new();
+                let batch = fanouts(&mut arena);
+                let t = Instant::now();
+                for (pred, succs) in &batch[..(iters - start).min(BATCH) as usize] {
+                    attach_and_seal(pred, succs);
+                }
+                total += t.elapsed();
+            }
+            total
+        })
+    });
+    group.bench_function(BenchmarkId::new("complete_release", FANOUT), |b| {
+        let mut done: Vec<Completion> = Vec::with_capacity(BATCH as usize);
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for start in (0..iters).step_by(BATCH as usize) {
+                let mut arena = NodeArena::new();
+                let batch = fanouts(&mut arena);
+                let batch = &batch[..(iters - start).min(BATCH) as usize];
+                for (pred, succs) in batch {
+                    attach_and_seal(pred, succs);
+                }
+                let t = Instant::now();
+                for (pred, _) in batch {
+                    done.push(pred.complete());
+                }
+                total += t.elapsed();
+                assert!(done.iter().all(|d| d.ready.len() == FANOUT));
+                done.clear();
+            }
+            total
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_policies,
     bench_queue_backends,
-    bench_persistent_region
+    bench_persistent_region,
+    bench_node_edges
 );
 criterion_main!(benches);

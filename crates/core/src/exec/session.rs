@@ -83,7 +83,9 @@ impl<'e> Session<'e> {
     /// path; may execute tasks inline if throttling thresholds are
     /// exceeded.
     pub fn submit_view(&mut self, view: &SpecView<'_>) -> TaskId {
-        let pool = Arc::clone(self.exec.pool());
+        // Borrowed for the executor's lifetime, not `self`'s.
+        let exec: &'e Executor = self.exec;
+        let pool = exec.pool();
         let now = pool.now_ns();
         self.discovery_t0_ns.get_or_insert(now);
         self.instance.set_now_ns(now);

@@ -34,7 +34,7 @@
 //!   chunks) is freed when the handle **and** every slot are gone.
 //! * Cross-thread *publication* of a freshly written node follows the
 //!   same argument as the rest of the kernel: a `NodeRef` always travels
-//!   through a synchronizing channel (ready queue push, mutex-guarded
+//!   through a synchronizing channel (ready queue push, lock-word-guarded
 //!   successor list), never through a data race.
 
 use super::node::RtNode;

@@ -1,48 +1,149 @@
 //! Live task nodes: the kernel's readiness state machine.
 //!
-//! An [`RtNode`] is one instantiated task. Its `pending` counter holds the
-//! number of unsatisfied predecessors **plus one creation token** owned by
-//! the producer until the node is sealed (all its edges added). The
+//! An [`RtNode`] is one instantiated task. Its `pending` counter is
+//! **biased**: a node starts at [`BIAS`], attaching an edge leaves the
+//! successor's counter alone (the producer only counts the edge in a
+//! producer-only field), and [`RtNode::seal`] settles the count in one
+//! RMW, to the number of attached edges still unreleased. The bias is the
+//! old *creation token* made large: no sequence of releases can drive the
+//! counter to zero before the producer has sealed the node. The
 //! decrement-on-complete transition — the heart of dependent-task
 //! readiness — lives *only* here; back-ends never touch in-degree
 //! counters themselves.
 //!
+//! Streaming successors hang off a one-word link lock (`LOCKED |
+//! COMPLETED`) beside the successor list. Exactly two parties ever touch
+//! it: the producer attaching an edge and the one thread completing the
+//! node. An edge requested after completion is *pruned*.
+//!
 //! Nodes live in a [`super::NodeArena`] and are shared as [`NodeRef`]s —
 //! pooled references whose clone/drop never touch the allocator. The
-//! per-node successor list is an [`InlineVec`]: typical stencil fan-outs
-//! ([`SUCC_INLINE`] successors or fewer) stay inline in the node; larger
-//! fan-outs spill once and keep their capacity across completions.
+//! per-node successor list is an [`InlineVec`]: up to [`SUCC_INLINE`]
+//! successors stay inline in the node; a wider fan-out spills to the heap
+//! once, and that list is freed when the completion takes it.
 
 use super::arena::{NodeArena, NodeRef};
 use super::probe::RtProbe;
 use crate::task::{SpecView, TaskBody, TaskId};
 use crate::util::InlineVec;
 use crate::workdesc::{CommOp, WorkDesc};
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 /// Successors kept inline in the node before spilling to the heap.
 ///
-/// Sized for the bundled apps: a LULESH/HPCG slice writer feeds its own
-/// and adjacent slices' consumers (≤ 3–6 edges after dedup), and a
-/// Cholesky tile writer feeds the panel below it; redirect nodes absorb
-/// the wide `inoutset` fan-outs. 8 keeps those inline with slack.
+/// Covers the narrow fan-outs: a Cholesky tile writer feeds the panel
+/// below it, and most LULESH/HPCG slice writers feed a handful of
+/// consumers. It does not cover the wide ones: in one streaming LULESH
+/// iteration at `-s 40`, TPL 512, about 1,540 of the 7,170 nodes request
+/// 26–81 successors before pruning, and each such list allocates at the
+/// spill and once per doubling — about 0.6 allocations per node.
 pub const SUCC_INLINE: usize = 8;
 
 /// Ready-list entries kept inline in a [`Completion`].
 pub const READY_INLINE: usize = 8;
 
-/// Mutable graph-side state of a node, guarded by one small lock.
+/// Initial `pending` value of every node: far above any in-degree, so a
+/// node cannot become ready before [`RtNode::seal`] settles it.
+pub(crate) const BIAS: u32 = 1 << 30;
+
+/// Link-word bit: the successor list is held by one party.
+const LOCKED: u32 = 1;
+/// Link-word bit: the node completed; later edges are pruned.
+const COMPLETED: u32 = 2;
+/// Spins a link-word contender makes before it starts yielding.
+const SPIN_LIMIT: u32 = 64;
+
+/// The streaming successor list and the one-word lock that guards it.
 ///
-/// The lock serializes the completion of the predecessor against the
-/// producer attaching new successor edges — the race that makes edge
-/// *pruning* well-defined: an edge requested after completion is pruned.
-#[derive(Default)]
-struct NodeLinks {
-    /// Streaming successors to release on completion (taken exactly once).
-    succs: InlineVec<NodeRef, SUCC_INLINE>,
-    /// Whether the task has completed (this iteration).
-    completed: bool,
+/// The word's only writers are the producer (`0 → LOCKED → 0`) and the
+/// completing thread (`0 → LOCKED|COMPLETED → COMPLETED`), so each side
+/// takes it with one CAS and releases it with a plain `Release` store:
+/// while one side holds `LOCKED` the other cannot change the word.
+struct Links {
+    word: AtomicU32,
+    succs: UnsafeCell<InlineVec<NodeRef, SUCC_INLINE>>,
+}
+
+// SAFETY: `word` is atomic. `succs` is only touched by the holder of
+// `LOCKED`; taking the bit is an `Acquire` CAS and dropping it a `Release`
+// store, so each holder sees the list exactly as the previous holder left
+// it. Its `NodeRef`s are `Send + Sync`, so they may be pushed, dropped and
+// moved out on either thread.
+unsafe impl Sync for Links {}
+
+fn backoff(spins: &mut u32) {
+    if *spins < SPIN_LIMIT {
+        *spins += 1;
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
+impl Links {
+    fn new() -> Links {
+        Links {
+            word: AtomicU32::new(0),
+            succs: UnsafeCell::new(InlineVec::new()),
+        }
+    }
+
+    /// Producer side: push `succ` unless the node completed; returns
+    /// whether the edge was attached.
+    ///
+    /// Acquire on the load that sees `COMPLETED` — a pruned successor
+    /// no longer waits for this node, so the producer must see this
+    /// node's effects before it seals the successor (the completing CAS
+    /// below releases them).
+    fn push_unless_completed(&self, succ: &NodeRef) -> bool {
+        let mut spins = 0;
+        let unlocked = loop {
+            let w = self.word.load(Ordering::Acquire);
+            if w & COMPLETED != 0 {
+                return false;
+            }
+            if w & LOCKED == 0
+                && self
+                    .word
+                    .compare_exchange(w, w | LOCKED, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                break w;
+            }
+            backoff(&mut spins);
+        };
+        // SAFETY: we hold LOCKED.
+        unsafe { (*self.succs.get()).push(succ.clone()) };
+        self.word.store(unlocked, Ordering::Release);
+        true
+    }
+
+    /// Completer side: mark completed and take the list.
+    ///
+    /// AcqRel CAS — Acquire: see every successor the producer pushed
+    /// before its `Release` unlock; Release: publish the task's effects
+    /// to a producer that prunes against `COMPLETED`.
+    fn take_completing(&self) -> InlineVec<NodeRef, SUCC_INLINE> {
+        let mut spins = 0;
+        loop {
+            let w = self.word.load(Ordering::Relaxed);
+            if w & LOCKED == 0
+                && self
+                    .word
+                    .compare_exchange(w, LOCKED | COMPLETED, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+            {
+                break;
+            }
+            backoff(&mut spins);
+        }
+        // SAFETY: we hold LOCKED.
+        let taken = std::mem::take(unsafe { &mut *self.succs.get() });
+        self.word.store(COMPLETED, Ordering::Release);
+        taken
+    }
 }
 
 /// Result of completing a node.
@@ -73,10 +174,14 @@ pub struct RtNode {
     pub fp_bytes: u32,
     /// Whether this is an optimization-(c) redirect node.
     pub is_redirect: bool,
-    /// Predecessors not yet completed, plus one creation/visibility token.
+    /// [`BIAS`] minus releases until sealed; unreleased predecessors after.
     pending: AtomicU32,
-    /// Streaming links + completion flag.
-    links: Mutex<NodeLinks>,
+    /// Edges attached to this node as a successor. Producer-only: written
+    /// by `attach_succ` and read by `seal` on the one discovery thread,
+    /// so plain `Relaxed` loads and stores, never an RMW.
+    attached: AtomicU32,
+    /// Streaming successors + completion flag.
+    links: Links,
     /// Current iteration (the firstprivate payload a persistent
     /// re-instance rewrites).
     pub iter: AtomicU64,
@@ -87,8 +192,8 @@ pub struct RtNode {
 }
 
 impl RtNode {
-    /// A new application-task node value holding its creation token;
-    /// the caller moves it into an arena.
+    /// A new application-task node value, unsealed; the caller moves it
+    /// into an arena.
     pub fn from_view(
         id: TaskId,
         view: &SpecView<'_>,
@@ -111,8 +216,9 @@ impl RtNode {
             }),
             fp_bytes: view.fp_bytes,
             is_redirect: false,
-            pending: AtomicU32::new(1), // creation token
-            links: Mutex::new(NodeLinks::default()),
+            pending: AtomicU32::new(BIAS),
+            attached: AtomicU32::new(0),
+            links: Links::new(),
             iter: AtomicU64::new(iter),
             persistent_succs: OnceLock::new(),
         }
@@ -138,8 +244,9 @@ impl RtNode {
             work: None,
             fp_bytes: 0,
             is_redirect: false,
-            pending: AtomicU32::new(1),
-            links: Mutex::new(NodeLinks::default()),
+            pending: AtomicU32::new(BIAS),
+            attached: AtomicU32::new(0),
+            links: Links::new(),
             iter: AtomicU64::new(iter),
             persistent_succs: OnceLock::new(),
         }
@@ -176,8 +283,9 @@ impl RtNode {
             work: keep_work.then(|| tn.work.clone()),
             fp_bytes: tn.fp_bytes,
             is_redirect: tn.is_redirect,
-            pending: AtomicU32::new(1),
-            links: Mutex::new(NodeLinks::default()),
+            pending: AtomicU32::new(BIAS),
+            attached: AtomicU32::new(0),
+            links: Links::new(),
             iter: AtomicU64::new(0),
             persistent_succs: OnceLock::new(),
         }
@@ -190,16 +298,16 @@ impl RtNode {
         n
     }
 
-    fn links(&self) -> MutexGuard<'_, NodeLinks> {
-        // A poisoned lock means a panic inside the short critical section
-        // below, never inside a task body; the state is still consistent.
-        self.links.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Current pending count (tests / diagnostics; Relaxed — a racy
-    /// snapshot is all this can ever be).
+    /// Current pending count, counting an unsealed node's creation token
+    /// as one (tests / diagnostics; Relaxed — a racy snapshot is all this
+    /// can ever be).
     pub fn pending(&self) -> u32 {
-        self.pending.load(Ordering::Relaxed)
+        let raw = self.pending.load(Ordering::Relaxed);
+        if raw >= BIAS / 2 {
+            raw + self.attached.load(Ordering::Relaxed) + 1 - BIAS
+        } else {
+            raw
+        }
     }
 
     /// Set the persistent successor list (once, at template instancing).
@@ -210,67 +318,67 @@ impl RtNode {
         );
     }
 
-    /// Count of successors a completion would release right now.
-    pub fn succ_count(&self) -> usize {
-        let streaming = self.links().succs.len();
-        streaming + self.persistent_succs.get().map_or(0, |s| s.len())
-    }
-
-    /// Reset an instanced persistent node for a new iteration: restore its
-    /// dependence counter (plus one *visibility token*, dropped by
-    /// [`super::PersistentInstance::publish`]).
+    /// Reset an instanced persistent node for a new iteration: its
+    /// dependence counter becomes `indegree + BIAS`, and the bias is the
+    /// *visibility token* [`super::PersistentInstance::publish`] drops
+    /// through [`RtNode::seal`] (nothing is ever attached to these nodes,
+    /// so `seal` subtracts exactly `BIAS`).
     ///
     /// This is valid **only** for instanced persistent nodes: their
-    /// successor edges live in `persistent_succs` (never in `links.succs`),
-    /// and `attach_succ` is never called on them, so the `completed` flag —
-    /// which exists solely to define streaming-edge pruning — is dead state
-    /// and need not be cleared. Skipping the links lock turns the
-    /// per-iteration re-arm into two plain stores per node, which is what
-    /// lets `begin_iteration` be a single dense sweep (DESIGN.md §4.4).
+    /// successor edges live in `persistent_succs`, `attach_succ` is never
+    /// called on them, and `complete_with` never touches their link word,
+    /// so there is nothing else to clear. That turns the per-iteration
+    /// re-arm into two plain stores per node, which is what lets
+    /// `begin_iteration` be a single dense sweep (DESIGN.md §4.4).
     /// Relaxed stores: re-instancing runs strictly between iterations —
     /// after the previous barrier's quiescence synchronization and before
     /// the nodes are re-published through the ready queues, which is the
     /// happens-before edge that carries these values to the workers.
     pub(crate) fn rearm_persistent(&self, indegree: u32, iter: u64) {
         debug_assert!(
-            self.persistent_succs.get().is_some() || self.links().succs.is_empty(),
+            self.persistent_succs.get().is_some(),
             "fast re-arm is reserved for instanced persistent nodes"
         );
-        self.pending.store(indegree + 1, Ordering::Relaxed);
+        self.pending.store(indegree + BIAS, Ordering::Relaxed);
         self.iter.store(iter, Ordering::Relaxed);
     }
 
     /// Attach an edge `self -> succ`, unless `self` already completed.
-    /// Returns whether the edge was created.
+    /// Returns whether the edge was created. Producer-only, like
+    /// [`RtNode::seal`]: `succ`'s edge count is a plain load and store.
     pub fn attach_succ(&self, succ: &NodeRef) -> bool {
-        let mut links = self.links();
-        if links.completed {
+        if !self.links.push_unless_completed(succ) {
             return false; // pruned
         }
-        // Relaxed: the producer holds the creation token, so this add can
-        // never race the counter to zero; `seal`'s AcqRel decrement is
-        // what orders readiness.
-        succ.pending.fetch_add(1, Ordering::Relaxed);
-        links.succs.push(succ.clone());
+        let attached = succ.attached.load(Ordering::Relaxed) + 1;
+        debug_assert!(attached < BIAS, "in-degree must stay below the bias");
+        succ.attached.store(attached, Ordering::Relaxed);
         true
     }
 
-    /// Drop the creation (or visibility) token; returns `true` if the node
-    /// became ready.
+    /// Settle the bias once every edge is attached (or drop a persistent
+    /// node's visibility token); returns `true` if the node became ready.
     ///
-    /// AcqRel — the kernel's pivotal ordering site. Release: everything
-    /// the caller did before (a predecessor's task-body writes, the
-    /// producer's node initialization) is published on `pending`.
-    /// Acquire + release sequences over the RMW chain: the decrementer
-    /// that hits zero synchronizes with *every* earlier decrementer, so
-    /// whoever enqueues (and eventually runs) this node sees the effects
-    /// of all its predecessors, not just the last one.
+    /// One `fetch_sub(BIAS − attached)` leaves exactly the attached edges
+    /// not yet released. AcqRel — the kernel's pivotal ordering site.
+    /// Release: everything the caller did before (the producer's node
+    /// initialization) is published on `pending`. Acquire + release
+    /// sequences over the RMW chain: the decrementer that hits zero
+    /// synchronizes with *every* earlier decrementer, so whoever enqueues
+    /// (and eventually runs) this node sees the effects of all its
+    /// predecessors, not just the last one.
     pub fn seal(&self) -> bool {
+        let settle = BIAS - self.attached.load(Ordering::Relaxed);
+        self.pending.fetch_sub(settle, Ordering::AcqRel) == settle
+    }
+
+    /// One predecessor's release; same AcqRel argument as [`RtNode::seal`].
+    fn release(&self) -> bool {
         self.pending.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
     /// Mark completed and release every successor — streaming edges
-    /// (consumed) then persistent ones (reusable). Returns the successors
+    /// (consumed) or persistent ones (reusable). Returns the successors
     /// that became ready, plus the number of releases performed.
     pub fn complete(&self) -> Completion {
         self.complete_with(&crate::rt::NullProbe, 0, 0)
@@ -284,25 +392,22 @@ impl RtNode {
     /// post and match time; for a detached comm task this completion runs
     /// from the progress path, after the request matched.)
     pub fn complete_with(&self, probe: &dyn RtProbe, core: usize, now_ns: u64) -> Completion {
-        let taken = {
-            let mut links = self.links();
-            links.completed = true;
-            std::mem::take(&mut links.succs)
-        };
-        let mut out = Completion {
-            ready: InlineVec::new(),
-            released: taken.len(),
-        };
-        for succ in taken {
-            if succ.seal() {
-                out.ready.push(succ);
-            }
-        }
+        let mut out = Completion::default();
+        // An instanced persistent node never has streaming successors, so
+        // it skips the link word.
         if let Some(persistent) = self.persistent_succs.get() {
-            out.released += persistent.len();
+            out.released = persistent.len();
             for succ in persistent {
-                if succ.seal() {
+                if succ.release() {
                     out.ready.push(succ.clone());
+                }
+            }
+        } else {
+            let taken = self.links.take_completing();
+            out.released = taken.len();
+            for succ in taken {
+                if succ.release() {
+                    out.ready.push(succ);
                 }
             }
         }
@@ -325,7 +430,7 @@ mod tests {
         let a = RtNode::bare(TaskId(0), "a", None, 0);
         let b = RtNode::bare(TaskId(1), "b", None, 0);
         assert!(a.attach_succ(&b));
-        // b has token + 1 pred = 2 pending; sealing only drops the token.
+        // b waits on the bias + 1 pred; sealing leaves just the pred.
         assert!(!b.seal());
         let done = a.complete();
         assert_eq!(done.released, 1);
@@ -399,6 +504,7 @@ mod tests {
         let p = RtNode::bare(TaskId(0), "p", None, 0);
         let s = RtNode::bare(TaskId(1), "s", None, 0);
         p.set_persistent_succs(vec![s.clone()]);
+        s.set_persistent_succs(vec![]);
         p.rearm_persistent(0, 1);
         s.rearm_persistent(1, 1);
         // publish: drop visibility tokens

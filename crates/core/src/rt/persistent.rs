@@ -3,7 +3,7 @@
 //! A [`PersistentInstance`] materializes a captured [`GraphTemplate`] into
 //! live [`RtNode`]s exactly once; every later iteration reuses the same
 //! nodes and the same successor lists. `begin_iteration` re-arms each node
-//! to `indegree + 1` — the extra unit is a *visibility token* — and
+//! to `indegree + BIAS` — the bias is a *visibility token* — and
 //! [`PersistentInstance::publish`] drops tokens in whatever batching the
 //! back-end chooses: the thread executor publishes everything at once, the
 //! simulator publishes [`REINSTANCE_BATCH`]-sized chunks so re-instance
@@ -12,7 +12,7 @@
 //! The re-arm is a **bulk sweep**: one dense pass zipping the node table
 //! with the template's precomputed in-degree array, two plain stores per
 //! node and no lock (instanced persistent nodes never receive streaming
-//! edges, so the links lock guards nothing here — see
+//! edges, so their link word is never touched — see
 //! [`RtNode::rearm_persistent`]). This is the paper's "later iterations
 //! cost a memcpy" story made literal.
 
@@ -86,7 +86,7 @@ impl PersistentInstance {
         &self.nodes[id.index()]
     }
 
-    /// Re-arm every node for `iter` (counters to `indegree + 1`, the
+    /// Re-arm every node for `iter` (counters to `indegree + BIAS`, the
     /// firstprivate rewrite) and account the whole graph as live. No node
     /// is visible to scheduling until its token is dropped by `publish`.
     pub fn begin_iteration(&self, iter: u64, tracker: &ReadyTracker) {
@@ -104,7 +104,7 @@ impl PersistentInstance {
         now_ns: u64,
     ) {
         // Bulk re-arm: dense sweep over (node, indegree) pairs. Safe to
-        // skip the per-node lock — see RtNode::rearm_persistent.
+        // skip the link word — see RtNode::rearm_persistent.
         for (node, &indeg) in self.nodes.iter().zip(self.template.indegrees()) {
             node.rearm_persistent(indeg, iter);
         }

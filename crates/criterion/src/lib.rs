@@ -4,7 +4,7 @@
 //! implements the slice of the criterion API the workspace's `benches/`
 //! use: `criterion_group!`/`criterion_main!`, benchmark groups with
 //! `sample_size`/`throughput`, `bench_function`/`bench_with_input`, and
-//! `Bencher::iter`. Measurement is a straightforward
+//! `Bencher::iter`/`Bencher::iter_custom`. Measurement is a straightforward
 //! median-of-samples wall-clock loop — good enough for comparing orders
 //! of magnitude and trends, with none of criterion's statistics.
 
@@ -66,19 +66,28 @@ pub struct Bencher {
 impl Bencher {
     /// Time `f`, storing the median per-iteration nanoseconds.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Warm-up and per-sample iteration sizing: aim for ≥ ~1 ms per
-        // sample so timer resolution does not dominate short closures.
-        let t0 = Instant::now();
-        black_box(f());
-        let once = t0.elapsed().max(Duration::from_nanos(1));
-        let per_sample = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000);
-        let mut times: Vec<f64> = Vec::with_capacity(self.samples as usize);
-        for _ in 0..self.samples {
+        self.iter_custom(|iters| {
             let t = Instant::now();
-            for _ in 0..per_sample {
+            for _ in 0..iters {
                 black_box(f());
             }
-            times.push(t.elapsed().as_nanos() as f64 / per_sample as f64);
+            t.elapsed()
+        });
+    }
+
+    /// Time a routine that clocks itself: `routine(iters)` runs `iters`
+    /// iterations and returns the time they took, so per-iteration setup
+    /// can stay off the clock. Stores the median per-iteration
+    /// nanoseconds.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        // Warm-up and per-sample iteration sizing: aim for ≥ ~1 ms per
+        // sample so timer resolution does not dominate short routines.
+        let once = routine(1).max(Duration::from_nanos(1));
+        let per_sample =
+            (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
+        let mut times: Vec<f64> = Vec::with_capacity(self.samples as usize);
+        for _ in 0..self.samples {
+            times.push(routine(per_sample).as_nanos() as f64 / per_sample as f64);
         }
         times.sort_by(|a, b| a.total_cmp(b));
         self.last_ns = times[times.len() / 2];

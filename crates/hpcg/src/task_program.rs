@@ -8,6 +8,7 @@ use ptdg_core::builder::{SpecBuf, TaskSubmitter};
 use ptdg_core::handle::HandleSpace;
 use ptdg_core::workdesc::{CommOp, HandleSlice};
 use ptdg_simrt::{Rank, RankProgram};
+use std::sync::Arc;
 
 /// The task-based HPCG program.
 pub struct HpcgTask {
@@ -18,7 +19,9 @@ pub struct HpcgTask {
     /// Handle space for the simulator.
     pub space: HandleSpace,
     /// Real vectors (single-rank thread execution) or `None` (simulation).
-    pub state: Option<HpcgState>,
+    /// Behind one `Arc` so each task body captures a single reference,
+    /// not one per vector.
+    pub state: Option<Arc<HpcgState>>,
 }
 
 impl HpcgTask {
@@ -39,7 +42,7 @@ impl HpcgTask {
         assert_eq!(cfg.n_ranks(), 1, "real execution is single-rank");
         let state = HpcgState::new(&cfg);
         let mut t = HpcgTask::new(cfg);
-        t.state = Some(state);
+        t.state = Some(Arc::new(state));
         t
     }
 

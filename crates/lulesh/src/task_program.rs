@@ -16,6 +16,7 @@ use ptdg_core::builder::{SpecBuf, TaskSubmitter};
 use ptdg_core::handle::{DataHandle, HandleSpace};
 use ptdg_core::workdesc::{CommOp, HandleSlice};
 use ptdg_simrt::{Rank, RankProgram};
+use std::sync::Arc;
 
 /// The task-based LULESH program for one job (all ranks share the
 /// structure; each rank builds its own identical-shaped local graph).
@@ -28,8 +29,10 @@ pub struct LuleshTask {
     /// must be given).
     pub space: HandleSpace,
     /// Real arrays — present when running on the thread executor
-    /// (single-rank only); `None` for cost-model simulation.
-    pub state: Option<LuleshState>,
+    /// (single-rank only); `None` for cost-model simulation. Behind one
+    /// `Arc` so each task body captures a single reference, not one per
+    /// array.
+    pub state: Option<Arc<LuleshState>>,
 }
 
 impl LuleshTask {
@@ -57,7 +60,7 @@ impl LuleshTask {
         );
         let state = LuleshState::new(Mesh::new(cfg.s), cfg.tpl.min(cfg.s * cfg.s * cfg.s));
         let mut t = LuleshTask::new(cfg);
-        t.state = Some(state);
+        t.state = Some(Arc::new(state));
         t
     }
 

@@ -38,7 +38,7 @@ fn run_tasks(workers: usize, policy: SchedPolicy, opts: OptConfig) -> HpcgState 
         prog.build_iteration(0, iter, &mut session);
     }
     session.wait_all();
-    prog.state.clone().unwrap()
+    prog.state.as_deref().unwrap().clone()
 }
 
 #[test]
