@@ -6,11 +6,9 @@
 //! ```
 
 use ptdg_cholesky::{CholeskyConfig, CholeskyTask};
-use ptdg_core::exec::{run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig};
-use ptdg_core::obs::{chrome_trace, critical_path};
+use ptdg_core::exec::{run_program, ExecConfig, SchedPolicy, ThreadsConfig};
 use ptdg_core::opts::OptConfig;
 use ptdg_core::throttle::ThrottleConfig;
-use ptdg_simrt::RankProgram;
 use std::path::PathBuf;
 
 fn main() {
@@ -56,104 +54,80 @@ fn main() {
         k += 2;
     }
 
-    if ranks > 1 {
-        // Cost-model mode: the 1-D cyclic panel distribution on concurrent
-        // rank pools, panel broadcasts through the in-process network.
-        let cfg = CholeskyConfig {
-            n_ranks: ranks,
-            ..CholeskyConfig::single(nt, b, repeats)
-        };
-        let prog = CholeskyTask::new(cfg);
-        let t0 = std::time::Instant::now();
-        let report = run_program(
-            &prog,
-            &ThreadsConfig {
-                exec: ExecConfig {
-                    n_workers: workers,
-                    policy: SchedPolicy::DepthFirst,
-                    throttle: ThrottleConfig::mpc_default(),
-                    profile: false,
-                    record_events: false,
-                },
-                opts: OptConfig::all(),
-                ..Default::default()
+    if ranks == 0 {
+        eprintln!("--ranks must be positive");
+        std::process::exit(2);
+    }
+    // One rank factors a seeded SPD matrix and verifies it; several ranks
+    // run the cost model of the 1-D cyclic panel distribution, with panel
+    // broadcasts through the in-process network.
+    let cfg = CholeskyConfig {
+        n_ranks: ranks,
+        ..CholeskyConfig::single(nt, b, repeats)
+    };
+    let prog = if ranks == 1 {
+        CholeskyTask::with_matrix(cfg, seed)
+    } else {
+        CholeskyTask::new(cfg)
+    };
+    let report = run_program(
+        &prog,
+        &ThreadsConfig {
+            exec: ExecConfig {
+                n_workers: workers,
+                policy: SchedPolicy::DepthFirst,
+                throttle: ThrottleConfig::mpc_default(),
+                profile: trace.is_some(),
+                record_events: false,
             },
-        );
-        println!(
-            "Cholesky {n}x{n} ({nt}x{nt} tiles), {repeats} repeats on {r} ranks x \
-             {workers} workers (cost model): {} tasks, {} comms posted / {} completed, {:.3}s",
-            report.counters.tasks_completed,
-            report.counters.comms_posted,
-            report.counters.comms_completed,
-            t0.elapsed().as_secs_f64(),
-            n = nt * b,
-            r = report.n_ranks,
-        );
-        for (r, c) in report.per_rank_counters.iter().enumerate() {
-            println!(
-                "  rank {r}: {} tasks, {} posted / {} completed, {} unexpected",
-                c.tasks_completed, c.comms_posted, c.comms_completed, c.unexpected_msgs
-            );
-        }
-        if let Some(err) = &report.comm_error {
-            eprintln!("{err}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    let cfg = CholeskyConfig::single(nt, b, repeats);
-    let prog = CholeskyTask::with_matrix(cfg.clone(), seed);
-    let exec = Executor::new(ExecConfig {
-        n_workers: workers,
-        policy: SchedPolicy::DepthFirst,
-        throttle: ThrottleConfig::mpc_default(),
-        profile: trace.is_some(),
-        record_events: false,
-    });
-    let t0 = std::time::Instant::now();
-    let mut region = exec.persistent_region(OptConfig::all());
-    for iter in 0..repeats {
-        region.run(iter, |sub| prog.build_iteration(0, iter, sub));
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let err = prog.matrix.as_ref().unwrap().factorization_error();
-    let t = region.template().unwrap();
-    println!(
-        "Cholesky {}x{} ({}x{} tiles of {}x{}), {} repeats on {} workers:",
-        nt * b,
-        nt * b,
-        nt,
-        nt,
-        b,
-        b,
-        repeats,
-        workers
+            opts: OptConfig::all(),
+            persistent: true,
+            capture_graph: true,
+            ..Default::default()
+        },
     );
     println!(
-        "  max |L·Lᵀ − A| = {err:.3e}   {} tasks / {} edges per factorization   {elapsed:.3}s",
+        "Cholesky {n}x{n} ({nt}x{nt} tiles of {b}x{b}), {repeats} repeats on {} ranks x \
+         {workers} workers: {} tasks, {} comms posted / {} completed, {:.3}s",
+        report.n_ranks,
+        report.counters.tasks_completed,
+        report.counters.comms_posted,
+        report.counters.comms_completed,
+        report.elapsed_ns as f64 * 1e-9,
+        n = nt * b,
+    );
+    for (r, c) in report.per_rank_counters.iter().enumerate() {
+        println!(
+            "  rank {r}: {} tasks, {} posted / {} completed, {} unexpected",
+            c.tasks_completed, c.comms_posted, c.comms_completed, c.unexpected_msgs
+        );
+    }
+    let t = &report.graphs[0];
+    println!(
+        "persistent TDG of rank 0: {} tasks / {} edges per factorization",
         t.n_tasks(),
         t.n_edges()
     );
     if let Some(path) = &trace {
-        let mut obs = exec.take_obs();
-        let created = obs.counters.tasks_created;
-        obs.counters
-            .absorb_discovery(&region.first_iteration_stats());
-        obs.counters.tasks_created = created;
-        obs.counters.persistent_reuses = region.reuses();
-        let doc = chrome_trace(&obs.trace, &obs.events, &obs.counters);
-        if let Err(e) = std::fs::write(path, doc.render() + "\n") {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
+        match report.write_trace(path, workers) {
+            Ok(cp) => println!(
+                "chrome trace of rank 0 written to {} (load at https://ui.perfetto.dev)\n{}",
+                path.display(),
+                cp.render(5)
+            ),
+            Err(e) => {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
-        println!(
-            "chrome trace written to {} (load at https://ui.perfetto.dev)",
-            path.display()
-        );
-        println!(
-            "{}",
-            critical_path(t, &obs.events, obs.trace.span_ns, workers).render(5)
-        );
     }
-    assert!(err < 1e-8, "factorization failed verification");
+    if let Some(err) = &report.comm_error {
+        eprintln!("{err}");
+        std::process::exit(1);
+    }
+    if let Some(matrix) = &prog.matrix {
+        let err = matrix.factorization_error();
+        println!("  max |L·Lᵀ − A| = {err:.3e}");
+        assert!(err < 1e-8, "factorization failed verification");
+    }
 }

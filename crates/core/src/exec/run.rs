@@ -10,10 +10,11 @@
 use super::executor::{ExecConfig, Executor, QueueBackend};
 use crate::comm::{CommConfig, CommError, CommWorld};
 use crate::graph::{DiscoveryStats, GraphTemplate};
-use crate::obs::{RtCounters, RtEvent};
+use crate::obs::{chrome_trace, critical_path, CritPath, RtCounters, RtEvent};
 use crate::opts::OptConfig;
 use crate::profile::Trace;
 use crate::program::RankProgram;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,6 +79,22 @@ impl ThreadsReport {
             total.merge(s);
         }
         total
+    }
+
+    /// Write rank 0's Chrome trace to `path` and return the critical path
+    /// of rank 0's captured graph on `n_workers` cores. The trace pairs
+    /// rank 0's spans and events with rank 0's own counters, so its
+    /// totals describe the rank it shows. Needs [`ExecConfig::profile`]
+    /// and [`ThreadsConfig::capture_graph`].
+    pub fn write_trace(&self, path: &Path, n_workers: usize) -> std::io::Result<CritPath> {
+        let (Some(trace), Some(graph)) = (&self.trace, self.graphs.first()) else {
+            return Err(std::io::Error::other(
+                "the run recorded no trace or no graph",
+            ));
+        };
+        let doc = chrome_trace(trace, &self.events, &self.per_rank_counters[0]);
+        std::fs::write(path, doc.render() + "\n")?;
+        Ok(critical_path(graph, &self.events, trace.span_ns, n_workers))
     }
 }
 
@@ -152,11 +169,7 @@ fn run_rank<P: RankProgram + Sync + ?Sized>(
     exec.comm_world().note_done(rank);
     let obs = exec.take_obs();
     out.counters = obs.counters;
-    // The tracker already counted every created task (discovery and
-    // re-instanced); absorbing discovery stats would double-count it.
-    let created = out.counters.tasks_created;
     out.counters.absorb_discovery(&out.stats);
-    out.counters.tasks_created = created;
     out.counters.persistent_reuses = persistent_reuses;
     out.events = obs.events;
     if cfg.exec.profile && rank == 0 {

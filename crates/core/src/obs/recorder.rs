@@ -336,6 +336,16 @@ mod tests {
     }
 
     #[test]
+    fn execution_extent_excludes_discovery() {
+        // discovery from 0..1000, work only 400..600
+        let r = EventRecorder::new(2, false);
+        r.span(span(1, 0, 1_000, SpanKind::Discovery));
+        r.span(span(0, 400, 600, SpanKind::Work));
+        let obs = r.finish(true, 2, 1_000);
+        assert_eq!(obs.trace.span_ns, 200, "span_ns is the execution extent");
+    }
+
+    #[test]
     fn virtual_time_is_not_rebased() {
         let r = EventRecorder::new(1, true);
         r.span(span(0, 100, 200, SpanKind::Work));

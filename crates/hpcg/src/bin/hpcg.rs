@@ -5,12 +5,10 @@
 //! cargo run --release -p ptdg-hpcg --bin hpcg -- --nx 12 --iters 30 --tpl 16
 //! ```
 
-use ptdg_core::exec::{run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig};
-use ptdg_core::obs::{chrome_trace, critical_path};
+use ptdg_core::exec::{run_program, ExecConfig, SchedPolicy, ThreadsConfig};
 use ptdg_core::opts::OptConfig;
 use ptdg_core::throttle::ThrottleConfig;
 use ptdg_hpcg::{HpcgConfig, HpcgTask};
-use ptdg_simrt::RankProgram;
 use std::path::PathBuf;
 
 fn main() {
@@ -54,115 +52,86 @@ fn main() {
         k += 2;
     }
 
-    if ranks > 1 {
-        // Cost-model mode: concurrent rank pools over the in-process
-        // network (halo exchanges + dot-product all-reduces), no numeric
-        // state.
-        let px = (ranks as f64).cbrt().round() as usize;
-        if px * px * px != ranks {
-            eprintln!("--ranks {ranks} is not a perfect cube");
-            std::process::exit(2);
-        }
-        let cfg = HpcgConfig {
-            px,
-            ..HpcgConfig::single(nx, iters, tpl)
-        };
-        let prog = HpcgTask::new(cfg);
-        let t0 = std::time::Instant::now();
-        let report = run_program(
-            &prog,
-            &ThreadsConfig {
-                exec: ExecConfig {
-                    n_workers: workers,
-                    policy: SchedPolicy::DepthFirst,
-                    throttle: ThrottleConfig::mpc_default(),
-                    profile: false,
-                    record_events: false,
-                },
-                opts: OptConfig::all(),
-                ..Default::default()
-            },
-        );
-        println!(
-            "CG {nx}\u{b3}/rank, {iters} iterations on {} ranks x {workers} workers \
-             (cost model): {} tasks, {} comms posted / {} completed, {:.3}s",
-            report.n_ranks,
-            report.counters.tasks_completed,
-            report.counters.comms_posted,
-            report.counters.comms_completed,
-            t0.elapsed().as_secs_f64()
-        );
-        for (r, c) in report.per_rank_counters.iter().enumerate() {
-            println!(
-                "  rank {r}: {} tasks, {} posted / {} completed, {} unexpected",
-                c.tasks_completed, c.comms_posted, c.comms_completed, c.unexpected_msgs
-            );
-        }
-        if let Some(err) = &report.comm_error {
-            eprintln!("{err}");
-            std::process::exit(1);
-        }
-        return;
+    let px = (ranks as f64).cbrt().round() as usize;
+    if px == 0 || px * px * px != ranks {
+        eprintln!("--ranks {ranks} is not a positive perfect cube");
+        std::process::exit(2);
     }
-    let cfg = HpcgConfig::single(nx, iters, tpl);
-    let prog = HpcgTask::with_state(cfg.clone());
-    let exec = Executor::new(ExecConfig {
-        n_workers: workers,
-        policy: SchedPolicy::DepthFirst,
-        throttle: ThrottleConfig::mpc_default(),
-        profile: trace.is_some(),
-        record_events: false,
-    });
-    let t0 = std::time::Instant::now();
-    // with --trace, capture the streamed graph for the critical-path walk
-    let mut session = if trace.is_some() {
-        exec.session_capturing(OptConfig::all())
-    } else {
-        exec.session(OptConfig::all())
+    // One rank carries the vectors and is checked against the true
+    // residual; several ranks run the cost model over the in-process
+    // network (halo exchanges + dot-product all-reduces).
+    let cfg = HpcgConfig {
+        px,
+        ..HpcgConfig::single(nx, iters, tpl)
     };
-    for iter in 0..cfg.iterations {
-        prog.build_iteration(0, iter, &mut session);
-        if iter % 5 == 4 {
-            session.taskwait();
-            println!(
-                "iter {:>4}: residual {:.6e}",
-                iter + 1,
-                prog.state.as_ref().unwrap().residual()
-            );
-        }
+    let prog = if ranks == 1 {
+        HpcgTask::with_state(cfg)
+    } else {
+        HpcgTask::new(cfg)
+    };
+    let report = run_program(
+        &prog,
+        &ThreadsConfig {
+            exec: ExecConfig {
+                n_workers: workers,
+                policy: SchedPolicy::DepthFirst,
+                throttle: ThrottleConfig::mpc_default(),
+                profile: trace.is_some(),
+                record_events: false,
+            },
+            opts: OptConfig::all(),
+            capture_graph: trace.is_some(),
+            ..Default::default()
+        },
+    );
+    println!(
+        "CG {nx}\u{b3}/rank, {iters} iterations, {} blocks on {} ranks x {workers} workers: \
+         {} tasks, {} comms posted / {} completed, {:.3}s",
+        prog.cfg.blocks(),
+        report.n_ranks,
+        report.counters.tasks_completed,
+        report.counters.comms_posted,
+        report.counters.comms_completed,
+        report.elapsed_ns as f64 * 1e-9
+    );
+    for (r, c) in report.per_rank_counters.iter().enumerate() {
+        println!(
+            "  rank {r}: {} tasks, {} posted / {} completed, {} unexpected",
+            c.tasks_completed, c.comms_posted, c.comms_completed, c.unexpected_msgs
+        );
     }
     if let Some(path) = &trace {
-        let (g, stats) = session.finish_capture();
-        let mut obs = exec.take_obs();
-        let created = obs.counters.tasks_created;
-        obs.counters.absorb_discovery(&stats);
-        obs.counters.tasks_created = created;
-        let doc = chrome_trace(&obs.trace, &obs.events, &obs.counters);
-        if let Err(e) = std::fs::write(path, doc.render() + "\n") {
-            eprintln!("failed to write {}: {e}", path.display());
+        match report.write_trace(path, workers) {
+            Ok(cp) => println!(
+                "chrome trace of rank 0 written to {} (load at https://ui.perfetto.dev)\n{}",
+                path.display(),
+                cp.render(5)
+            ),
+            Err(e) => {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
+    }
+    if let Some(err) = &report.comm_error {
+        eprintln!("{err}");
+        std::process::exit(1);
+    }
+    if let Some(st) = &prog.state {
+        for (iter, r) in st.trajectory.snapshot().iter().enumerate() {
+            if iter % 5 == 4 {
+                println!("iter {:>4}: residual {r:.6e}", iter + 1);
+            }
+        }
+        let agree = st.residuals_agree();
+        println!(
+            "residual {:.3e} (true {:.3e}, {})",
+            st.residual(),
+            st.true_residual(),
+            if agree { "agrees" } else { "MISMATCH" }
+        );
+        if !agree {
             std::process::exit(1);
         }
-        println!(
-            "chrome trace written to {} (load at https://ui.perfetto.dev)",
-            path.display()
-        );
-        println!(
-            "{}",
-            critical_path(&g, &obs.events, obs.trace.span_ns, workers).render(5)
-        );
-    } else {
-        session.wait_all();
     }
-    let st = prog.state.as_ref().unwrap();
-    println!(
-        "CG {}³ grid, {} iterations, {} blocks on {} workers: residual {:.3e} \
-         (true {:.3e}) in {:.3}s",
-        nx,
-        iters,
-        cfg.blocks(),
-        workers,
-        st.residual(),
-        st.true_residual(),
-        t0.elapsed().as_secs_f64()
-    );
 }

@@ -31,6 +31,9 @@ pub struct HpcgState {
     pub rr_scratch: SharedVec<f64>,
     /// Scalars: [rr, alpha, beta, pap].
     pub scalars: SharedVec<f64>,
+    /// Bookkeeping residual after each iteration, written by
+    /// [`HpcgState::k_beta_at`].
+    pub trajectory: SharedVec<f64>,
 }
 
 /// Indices into [`HpcgState::scalars`].
@@ -57,6 +60,7 @@ impl HpcgState {
             pap_scratch: SharedVec::new(blocks, 0.0),
             rr_scratch: SharedVec::new(blocks, 0.0),
             scalars: SharedVec::new(4, 0.0),
+            trajectory: SharedVec::new(cfg.iterations as usize, 0.0),
         };
         // b = A·ones — computed via the SpMV kernel itself.
         for i in 0..n {
@@ -159,6 +163,15 @@ impl HpcgState {
         self.scalars.set(S_RR, rr_new);
     }
 
+    /// [`HpcgState::k_beta`], then record the new residual as iteration
+    /// `iter`'s entry of the trajectory (ignored past its end).
+    pub fn k_beta_at(&self, iter: u64) {
+        self.k_beta();
+        if (iter as usize) < self.trajectory.len() {
+            self.trajectory.set(iter as usize, self.residual());
+        }
+    }
+
     /// `p = r + beta·p` over `[a, b)`.
     pub fn k_update_p(&self, rows: Range<usize>) {
         let beta = *self.scalars.get(S_BETA);
@@ -224,6 +237,16 @@ impl HpcgState {
         s.sqrt()
     }
 
+    /// Whether the bookkeeping residual matches the true one to within
+    /// `1e-8·‖b‖`. Rounding drift stays near machine precision times
+    /// `‖b‖`; a lost or misordered update opens a wider gap. Call only at
+    /// quiescent points (it runs [`HpcgState::true_residual`]).
+    pub fn residuals_agree(&self) -> bool {
+        let n = self.b.len();
+        let b_norm = self.b.slice(0..n).iter().map(|v| v * v).sum::<f64>().sqrt();
+        (self.residual() - self.true_residual()).abs() <= 1e-8 * b_norm
+    }
+
     /// FNV digest of the solver state (bitwise-equality tests).
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
@@ -284,6 +307,21 @@ mod tests {
             .map(|i| (st.x.get(i) - 1.0).abs())
             .fold(0.0, f64::max);
         assert!(err < 1e-6, "x must approach ones: max err {err}");
+    }
+
+    #[test]
+    fn residual_check_catches_a_corrupted_solution() {
+        // run past machine precision: the bookkeeping keeps shrinking while
+        // the true residual stalls, and the two must still agree
+        let cfg = HpcgConfig::single(6, 60, 4);
+        let st = HpcgState::new(&cfg);
+        for _ in 0..60 {
+            st.sequential_iteration(4);
+        }
+        assert!(st.residual() < 1e-12 * st.true_residual());
+        assert!(st.residuals_agree());
+        st.x.set(0, *st.x.get(0) + 1e-3);
+        assert!(!st.residuals_agree(), "a corrupted x must fail the check");
     }
 
     #[test]

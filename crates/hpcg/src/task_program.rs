@@ -273,7 +273,7 @@ impl RankProgram for HpcgTask {
             }
             if want {
                 let st = self.state.clone().unwrap();
-                buf.body(move |_| st.k_beta());
+                buf.body(move |ctx| st.k_beta_at(ctx.iter));
             }
             buf.submit(sub);
         }

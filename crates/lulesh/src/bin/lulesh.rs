@@ -6,13 +6,11 @@
 //! cargo run --release -p ptdg-lulesh --bin lulesh -- -s 12 -i 20 -tel 32
 //! ```
 
-use ptdg_core::exec::{run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig};
-use ptdg_core::obs::{chrome_trace, critical_path};
+use ptdg_core::exec::{run_program, ExecConfig, SchedPolicy, ThreadsConfig};
 use ptdg_core::opts::OptConfig;
 use ptdg_core::throttle::ThrottleConfig;
 use ptdg_lulesh::sequential::run_sequential;
 use ptdg_lulesh::{LuleshConfig, LuleshTask, RankGrid};
-use ptdg_simrt::RankProgram;
 use std::path::PathBuf;
 
 struct Args {
@@ -84,10 +82,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let t0 = std::time::Instant::now();
     if args.parallel_for {
         // the fork-join reference: plain sequential loops here stand in
         // for the statically-chunked version (identical numerics)
+        let t0 = std::time::Instant::now();
         let st = run_sequential(args.s, args.i, args.tel);
         println!(
             "parallel-for LULESH -s {} -i {}: energy {:.6}, dt {:.3e}, {:.3}s",
@@ -99,161 +97,101 @@ fn main() {
         );
         return;
     }
-    if args.ranks > 1 {
-        // Cost-model mode: every rank's task stream runs concurrently on
-        // its own worker pool, halo exchanges go through the in-process
-        // network with detached completion. No numeric state — task
-        // bodies carry work descriptors only, like the simulator's.
-        let px = (args.ranks as f64).cbrt().round() as usize;
-        if px * px * px != args.ranks {
-            eprintln!("--ranks {} is not a perfect cube", args.ranks);
-            std::process::exit(2);
-        }
-        let cfg = LuleshConfig {
-            grid: RankGrid::cube(args.ranks),
-            ..LuleshConfig::single(args.s, args.i, args.tel)
-        };
-        let prog = LuleshTask::new(cfg);
-        let report = run_program(
-            &prog,
-            &ThreadsConfig {
-                exec: ExecConfig {
-                    n_workers: args.workers,
-                    policy: SchedPolicy::DepthFirst,
-                    throttle: ThrottleConfig::mpc_default(),
-                    profile: args.trace.is_some(),
-                    record_events: false,
-                },
-                opts: OptConfig::all(),
-                persistent: args.persistent,
-                ..Default::default()
-            },
-        );
-        println!(
-            "task LULESH -s {} -i {} -tel {} on {} ranks x {} workers (cost model): \
-             {} tasks, {} comms posted / {} completed, {:.3}s",
-            args.s,
-            args.i,
-            args.tel,
-            report.n_ranks,
-            args.workers,
-            report.counters.tasks_completed,
-            report.counters.comms_posted,
-            report.counters.comms_completed,
-            t0.elapsed().as_secs_f64()
-        );
-        for (r, c) in report.per_rank_counters.iter().enumerate() {
-            println!(
-                "  rank {r}: {} tasks, {} posted / {} completed, {} unexpected",
-                c.tasks_completed, c.comms_posted, c.comms_completed, c.unexpected_msgs
-            );
-        }
-        if let (Some(path), Some(trace)) = (&args.trace, &report.trace) {
-            let doc = chrome_trace(trace, &report.events, &report.counters);
-            if let Err(e) = std::fs::write(path, doc.render() + "\n") {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!(
-                "chrome trace of rank 0 written to {} (load at https://ui.perfetto.dev)",
-                path.display()
-            );
-        }
-        if let Some(err) = &report.comm_error {
-            eprintln!("{err}");
-            std::process::exit(1);
-        }
-        return;
+    let px = (args.ranks as f64).cbrt().round() as usize;
+    if px == 0 || px * px * px != args.ranks {
+        eprintln!("--ranks {} is not a positive perfect cube", args.ranks);
+        std::process::exit(2);
     }
-    let cfg = LuleshConfig::single(args.s, args.i, args.tel);
-    let prog = LuleshTask::with_state(cfg.clone());
-    let exec = Executor::new(ExecConfig {
-        n_workers: args.workers,
-        policy: SchedPolicy::DepthFirst,
-        throttle: ThrottleConfig::mpc_default(),
-        profile: args.trace.is_some(),
-        record_events: false,
-    });
-    // The wall-clock stops when the last iteration has completed, before
-    // the trace export and the sequential verification run.
-    let (graph, stats, reuses, wall) = if args.persistent {
-        let mut region = exec.persistent_region(OptConfig::all());
-        for iter in 0..cfg.iterations {
-            region.run(iter, |sub| prog.build_iteration(0, iter, sub));
-        }
-        let wall = t0.elapsed();
-        let t = region.template().unwrap();
+    // One rank carries the mesh state and is verified against the
+    // sequential run; several ranks run the cost model (task bodies carry
+    // work descriptors only, like the simulator's) with halo exchanges
+    // through the in-process network.
+    let cfg = LuleshConfig {
+        grid: RankGrid::cube(args.ranks),
+        ..LuleshConfig::single(args.s, args.i, args.tel)
+    };
+    let prog = if args.ranks == 1 {
+        LuleshTask::with_state(cfg)
+    } else {
+        LuleshTask::new(cfg)
+    };
+    let report = run_program(
+        &prog,
+        &ThreadsConfig {
+            exec: ExecConfig {
+                n_workers: args.workers,
+                policy: SchedPolicy::DepthFirst,
+                throttle: ThrottleConfig::mpc_default(),
+                profile: args.trace.is_some(),
+                record_events: false,
+            },
+            opts: OptConfig::all(),
+            persistent: args.persistent,
+            capture_graph: args.persistent || args.trace.is_some(),
+            ..Default::default()
+        },
+    );
+    if args.persistent {
+        let t = &report.graphs[0];
         println!(
             "persistent TDG: {} tasks, {} edges per iteration",
             t.n_tasks(),
             t.n_edges()
         );
-        (
-            Some((**t).clone()),
-            region.first_iteration_stats(),
-            region.reuses(),
-            wall,
-        )
-    } else if args.trace.is_some() {
-        // capture the full streamed graph so the critical-path report can
-        // walk it
-        let mut session = exec.session_capturing(OptConfig::all());
-        for iter in 0..cfg.iterations {
-            prog.build_iteration(0, iter, &mut session);
-        }
-        let (g, stats) = session.finish_capture();
-        let wall = t0.elapsed();
-        println!("streaming discovery: {stats:?}");
-        (Some(g), stats, 0, wall)
     } else {
-        let mut session = exec.session(OptConfig::all());
-        for iter in 0..cfg.iterations {
-            prog.build_iteration(0, iter, &mut session);
-        }
-        session.wait_all();
-        let wall = t0.elapsed();
-        println!("streaming discovery: {:?}", session.stats());
-        (None, session.stats(), 0, wall)
-    };
-    if let Some(path) = &args.trace {
-        let mut obs = exec.take_obs();
-        // the tracker already counted created tasks; only fold the
-        // discovery-side counters in
-        let created = obs.counters.tasks_created;
-        obs.counters.absorb_discovery(&stats);
-        obs.counters.tasks_created = created;
-        obs.counters.persistent_reuses = reuses;
-        let doc = chrome_trace(&obs.trace, &obs.events, &obs.counters);
-        if let Err(e) = std::fs::write(path, doc.render() + "\n") {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!(
-            "chrome trace written to {} (load at https://ui.perfetto.dev)",
-            path.display()
-        );
-        if let Some(g) = &graph {
-            println!(
-                "{}",
-                critical_path(g, &obs.events, obs.trace.span_ns, args.workers).render(5)
-            );
-        }
+        println!("streaming discovery: {:?}", report.per_rank_stats[0]);
     }
-    let st = prog.state.as_ref().unwrap();
-    let reference = run_sequential(args.s, args.i, args.tel.min(args.s.pow(3)));
     println!(
-        "task LULESH -s {} -i {} -tel {} on {} workers: energy {:.6}, dt {:.3e}, {:.3}s ({})",
+        "task LULESH -s {} -i {} -tel {} on {} ranks x {} workers: \
+         {} tasks, {} comms posted / {} completed, {:.3}s",
         args.s,
         args.i,
         args.tel,
+        report.n_ranks,
         args.workers,
-        st.total_energy(),
-        *st.dt.get(0),
-        wall.as_secs_f64(),
-        if st.digest() == reference.digest() {
-            "verified vs sequential"
-        } else {
-            "MISMATCH vs sequential"
-        }
+        report.counters.tasks_completed,
+        report.counters.comms_posted,
+        report.counters.comms_completed,
+        report.elapsed_ns as f64 * 1e-9
     );
+    for (r, c) in report.per_rank_counters.iter().enumerate() {
+        println!(
+            "  rank {r}: {} tasks, {} posted / {} completed, {} unexpected",
+            c.tasks_completed, c.comms_posted, c.comms_completed, c.unexpected_msgs
+        );
+    }
+    if let Some(path) = &args.trace {
+        match report.write_trace(path, args.workers) {
+            Ok(cp) => println!(
+                "chrome trace of rank 0 written to {} (load at https://ui.perfetto.dev)\n{}",
+                path.display(),
+                cp.render(5)
+            ),
+            Err(e) => {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
+    }
+    if let Some(err) = &report.comm_error {
+        eprintln!("{err}");
+        std::process::exit(1);
+    }
+    if let Some(st) = &prog.state {
+        let reference = run_sequential(args.s, args.i, args.tel.min(args.s.pow(3)));
+        let verified = st.digest() == reference.digest();
+        println!(
+            "energy {:.6}, dt {:.3e} ({})",
+            st.total_energy(),
+            *st.dt.get(0),
+            if verified {
+                "verified vs sequential"
+            } else {
+                "MISMATCH vs sequential"
+            }
+        );
+        if !verified {
+            std::process::exit(1);
+        }
+    }
 }

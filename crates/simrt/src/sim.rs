@@ -868,8 +868,6 @@ impl<'p> TaskSim<'p> {
             let obs = st.probe.finish(false, self.machine.n_cores, disc_ns);
             let mut counters = obs.counters;
             counters.absorb_discovery(&st.engine.stats());
-            // The tracker counted every creation (discovery + re-instance);
-            // the discovery absorption above would under-count persistence.
             counters.tasks_created = st.tracker.created_total() as u64;
             counters.tasks_completed = counters.tasks_created - st.tracker.live() as u64;
             counters.ready_hwm = st.tracker.ready_hwm() as u64;
